@@ -32,9 +32,8 @@ void MmEntry::Start() {
                                  [this](EndpointId, uint64_t) { OnFaultEvent(); });
   domain_.SetNotificationHandler(revoke_endpoint_,
                                  [this](EndpointId, uint64_t) { OnRevokeEvent(); });
-  // The entry's tasks are the domain's parallel payload: they run on the
-  // domain's affinity shard (self-paging means this work touches only the
-  // domain's own state on the fast path).
+  // The entry's tasks run on the domain's shard (self-paging means this work
+  // touches only the domain's own state on the fast path).
   const ShardId shard = domain_.id();
   tasks_.push_back(env_.sim->Spawn(ActivationLoop(), domain_.name() + "/activations", shard));
   for (size_t i = 0; i < num_workers_; ++i) {
@@ -247,8 +246,8 @@ Task MmEntry::Worker() {
       // The driver's slow path runs as its own task so that it can perform
       // IDC (frames negotiation, USD transactions). Those are system-shard
       // interactions — central frame lists, the USD head, evicted-page unmaps
-      // — so the slow path runs serially on the system shard; the worker hops
-      // back onto the domain shard when the join completes.
+      // — so the slow path runs on the system shard; the worker resumes on
+      // the domain shard when the join completes.
       TaskHandle h = SpawnSlow(job.driver->ResolveFault(job.fault, job.stretch, &result),
                                domain_.name() + "/resolve");
       co_await Join(h);

@@ -1,31 +1,28 @@
-// Execution shards for the opt-in parallel simulation mode.
+// Shard tags: serial writer attribution for the access checker.
 //
-// Every event and coroutine task carries an *affinity shard*: shard 0 is the
-// serial "system" shard (kernel, frames allocator, USD, disk — everything that
-// touches shared state), and each parallel-enabled application domain gets the
-// shard equal to its domain id. Within one simulated timestamp, runs of
-// events on distinct domain shards may execute concurrently on worker
-// threads; system-shard events always execute inline on the driving thread.
+// Every event and coroutine task carries a *shard*: shard 0 is the "system"
+// shard (kernel, frames allocator, USD, disk — everything that touches shared
+// state), and each application domain's fault-handling and workload events
+// carry the shard equal to its domain id. The simulator runs every event in
+// order on one thread; the tag does not change what runs when. It records on
+// whose behalf an event runs, so the DomainAccessChecker's
+// `RecordOwnedWrite` can name the writer of a domain-owned entry and the
+// invariant auditor's `shard-confinement` rule can flag a domain mutating
+// another domain's RamTab entries or frame stack.
 //
-// `ShardLane` is the per-thread execution context. While an event callback
-// runs, `Current().shard` names the shard it was scheduled on (so plain
-// CallAt/Spawn inherit the caller's shard), and `Current().sink` is non-null
-// exactly when the callback is running on a parallel worker inside a
-// multi-shard segment. Layers below the simulator (trace recorder, MMU TLB
-// shootdowns) use the sink to defer cross-shard side effects; the simulator
-// replays deferred effects in original FIFO scheduling order at the segment
-// barrier, which is what keeps parallel runs bit-identical to serial ones.
+// `ShardLane` is the execution context of the event loop. While an event
+// callback runs, `Current().shard` names the shard it was scheduled on (so
+// plain CallAt/Spawn inherit the caller's shard).
 #ifndef SRC_BASE_SHARD_H_
 #define SRC_BASE_SHARD_H_
 
 #include <cstdint>
-#include <functional>
 
 namespace nemesis {
 
 using ShardId = uint32_t;
 
-// The serial shard: kernel / frames-allocator / USD / disk paths. Matches the
+// The system shard: kernel / frames-allocator / USD / disk paths. Matches the
 // checker's kSystem domain and the kernel's pre-domain id space (domain ids
 // start at 1).
 inline constexpr ShardId kSystemShard = 0;
@@ -34,38 +31,14 @@ inline constexpr ShardId kSystemShard = 0;
 // CallAt/CallAfter/Spawn).
 inline constexpr ShardId kInheritShard = UINT32_MAX;
 
-// Deferred-effect sink installed on worker threads during a parallel segment.
-// Defer() buffers `fn` tagged with the currently-executing event's FIFO
-// position; the simulator runs all buffered effects on the driving thread, in
-// FIFO order, at the segment barrier.
-class EffectSink {
- public:
-  virtual void Defer(std::function<void()> fn) = 0;
-
- protected:
-  ~EffectSink() = default;
-};
-
-// Per-thread execution context. Cheap to read (thread_local POD); all fields
-// are maintained by the simulator around event execution.
+// Execution context, maintained by the simulator around event execution.
 struct ShardLane {
-  // Shard of the event currently executing on this thread (kSystemShard when
-  // no event is running, and always kSystemShard in pure-serial builds).
+  // Shard of the event currently executing (kSystemShard when no event is
+  // running).
   ShardId shard = kSystemShard;
 
-  // Non-null only while executing on a parallel worker inside a multi-shard
-  // segment. Code below the simulator tests this to decide between immediate
-  // and deferred side effects (and the access checker tests it to pick lane
-  // enforcement over window tracking).
-  EffectSink* sink = nullptr;
-
-  // Lane-local CrossDomainSection depth. The checker's own depth counter is
-  // shared state, so sanctioned cross-domain windows opened on a worker nest
-  // here instead.
-  uint32_t cross_domain_depth = 0;
-
   static ShardLane& Current() {
-    thread_local ShardLane lane;
+    static ShardLane lane;
     return lane;
   }
 };

@@ -1,42 +1,33 @@
 // DomainAccessChecker: the runtime half of the ownership/race layer (the
 // static half is src/base/thread_annotations.h).
 //
-// The parallel simulator runs each domain's events on its own worker lane
-// (src/base/shard.h), so every access to a shared memory-system structure
-// (the frames allocator's accounting, the RamTab, the page table, the TLB,
-// the per-domain frame stacks) must either stay within one domain between
-// synchronization points or go through one of the sanctioned cross-domain
-// interfaces: the USD request path and the frames allocator's
-// frame-stealing/revocation path. The checker enforces that contract in two
-// modes:
+// Every access to a shared memory-system structure (the frames allocator's
+// accounting, the RamTab, the page table, the TLB, the per-domain frame
+// stacks) must either stay within one domain between synchronization points
+// or go through one of the sanctioned cross-domain interfaces: the USD
+// request path and the frames allocator's frame-stealing/revocation path.
+// The simulator runs every event on one thread; the checker enforces the
+// contract with the shard tag each event carries (src/base/shard.h):
 //
-//   * Serial windows (driving thread): Record(structure, domain) notes that
-//     `domain` touched `structure` in the current window; SyncPoint() closes
-//     the window after every event callback. Two different non-system
-//     domains touching the same structure inside one window is a violation —
-//     it would be a data race under the threaded design.
-//   * Lane enforcement (parallel worker lanes): while an event executes on a
-//     worker inside a multi-shard segment, the touching domain must be the
-//     lane's own shard. The window array is shared state, so workers never
-//     touch it; the lane check is strictly stronger within a segment.
-//
+//   * Access windows: Record(structure, domain) notes that `domain` touched
+//     `structure` in the current window; SyncPoint() closes the window after
+//     every event callback. Two different non-system domains touching the
+//     same structure inside one window is a violation.
 //   * RecordOwnedWrite(structure, owner) marks a mutation of an entry with a
 //     known owning domain (a RamTab entry, a frame-stack slot). A write
 //     whose executing shard is neither the owner nor the system shard is
-//     logged (mutex-guarded, so worker lanes may report concurrently) and
-//     consumed by the invariant auditor's `shard-confinement` rule at the
-//     next batch barrier. Writer attribution uses ShardLane::Current().shard,
-//     which the simulator maintains for inline (serial) events too — so the
-//     rule behaves identically in serial and parallel runs.
+//     logged and consumed by the invariant auditor's `shard-confinement`
+//     rule at the next batch barrier. Writer attribution uses
+//     ShardLane::Current().shard, which the simulator sets around every
+//     event.
 //   * CrossDomainSection marks the sanctioned interfaces: while one is open,
 //     accesses on behalf of another domain are legal (e.g. the allocator
-//     popping a victim's frame stack during revocation). On a worker lane the
-//     depth nests in the lane (the checker's counter is shared state).
+//     popping a victim's frame stack during revocation).
 //
-// By default a window/lane violation NEM_ASSERTs; tests flip
-// abort_on_violation off and count instead. Owned-write violations never
-// abort here — they surface through the auditor, which has the batch-barrier
-// context the rule is defined at.
+// By default a window violation NEM_ASSERTs; tests flip abort_on_violation
+// off and count instead. Owned-write violations never abort here — they
+// surface through the auditor, which has the batch-barrier context the rule
+// is defined at.
 //
 // Header-only on purpose: kernel/ and mm/ code calls Record() from layers
 // below the check library, so this must not add a link-time dependency.
@@ -101,24 +92,7 @@ class DomainAccessChecker {
   };
 
   void Record(SharedStructure structure, Domain domain) {
-    ShardLane& lane = ShardLane::Current();
-    if (domain == kSystem || lane.cross_domain_depth > 0 || cross_domain_depth_ > 0) {
-      return;
-    }
-    if (lane.sink != nullptr) {
-      // Worker lane: the window array is shared state — enforce against the
-      // lane instead. An event may only touch structures on behalf of the
-      // shard it is running on.
-      if (domain != lane.shard) {
-        violations_.fetch_add(1, std::memory_order_relaxed);
-        if (abort_on_violation_) {
-          std::fprintf(stderr,
-                       "DomainAccessChecker: domain %u touched %s on worker lane %u "
-                       "(no cross-domain section open)\n",
-                       domain, SharedStructureName(structure), lane.shard);
-          NEM_ASSERT_MSG(false, "cross-lane access outside sanctioned interfaces");
-        }
-      }
+    if (domain == kSystem || cross_domain_depth_ > 0) {
       return;
     }
     Domain& owner = window_owner_[static_cast<size_t>(structure)];
@@ -139,14 +113,13 @@ class DomainAccessChecker {
   }
 
   // Marks a mutation of an `owner`-owned entry (RamTab entry, frame-stack
-  // slot) by the currently executing shard. Cheap when clean: one lane read
+  // slot) by the currently executing shard. Cheap when clean: one shard read
   // and two compares; only violations take the mutex.
   void RecordOwnedWrite(SharedStructure structure, Domain owner) {
-    ShardLane& lane = ShardLane::Current();
-    if (lane.cross_domain_depth > 0 || cross_domain_depth_ > 0) {
+    if (cross_domain_depth_ > 0) {
       return;
     }
-    const Domain writer = lane.shard;
+    const Domain writer = ShardLane::Current().shard;
     if (writer == kSystem || writer == owner) {
       return;
     }
@@ -156,35 +129,21 @@ class DomainAccessChecker {
   }
 
   // Drains the owned-write violation log (auditor rule shard-confinement;
-  // called at batch barriers, never concurrently with a segment).
+  // called at batch barriers).
   std::vector<OwnedWriteViolation> TakeOwnedWriteViolations() {
     MutexLock lock(owned_mu_);
     return std::exchange(owned_violations_, {});
   }
 
-  // Closes the current access window (called after every event callback —
-  // and once per parallel segment, at the barrier).
+  // Closes the current access window (called after every event callback).
   void SyncPoint() {
     for (Domain& owner : window_owner_) {
       owner = kSystem;
     }
   }
 
-  void EnterCrossDomainSection() {
-    ShardLane& lane = ShardLane::Current();
-    if (lane.sink != nullptr) {
-      ++lane.cross_domain_depth;
-      return;
-    }
-    ++cross_domain_depth_;
-  }
+  void EnterCrossDomainSection() { ++cross_domain_depth_; }
   void LeaveCrossDomainSection() {
-    ShardLane& lane = ShardLane::Current();
-    if (lane.sink != nullptr) {
-      NEM_ASSERT_MSG(lane.cross_domain_depth > 0, "unbalanced cross-domain section");
-      --lane.cross_domain_depth;
-      return;
-    }
     NEM_ASSERT_MSG(cross_domain_depth_ > 0, "unbalanced cross-domain section");
     --cross_domain_depth_;
   }

@@ -88,7 +88,9 @@ void InvariantAuditor::CheckIndexedStructures(AuditReport& report) {
 
 // shard-confinement: a domain shard mutating a RamTab entry or frame-stack
 // slot owned by another domain, outside every sanctioned cross-domain
-// interface, breaks the confinement contract the parallel lanes depend on.
+// interface, breaks self-paging's confinement contract: a domain manages
+// only its own frames. The simulator tags every event with the shard it runs
+// on behalf of, so the writer of each owned entry is known.
 // The checker logged each such write as it happened; the audit (which runs at
 // batch barriers) drains the log and reports every entry.
 void InvariantAuditor::CheckShardConfinement(AuditReport& report) {

@@ -40,9 +40,9 @@
 //                    must not create or destroy accounted time.
 //   shard-confinement (only when an access checker is registered) at batch
 //                    barriers no domain shard may have written RamTab entries
-//                    or frame-stack slots owned by another domain — the
-//                    confinement contract the parallel simulator's lanes
-//                    depend on (DESIGN.md "Parallel per-domain execution").
+//                    or frame-stack slots owned by another domain. Writers
+//                    are attributed by the shard tag the serial event loop
+//                    sets around every event (src/base/shard.h).
 //
 // Fast-depth audits are O(stretch pages + frames + TLB), cheap enough to run
 // after every event-loop batch in NEMESIS_AUDIT builds.

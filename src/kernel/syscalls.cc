@@ -61,7 +61,7 @@ Status<VmError> TranslationSyscalls::Map(DomainId caller, const RightsResolver* 
   pte->referenced = false;
   ramtab_.SetMapped(pfn, mmu_.VpnOf(va));
   mmu_.tlb().Invalidate(mmu_.VpnOf(va));
-  map_count_.fetch_add(1, std::memory_order_relaxed);
+  ++map_count_;
   return Status<VmError>::Ok();
 }
 
@@ -90,7 +90,7 @@ Status<VmError> TranslationSyscalls::Unmap(DomainId caller, const RightsResolver
   pte->pfn = 0;
   ramtab_.SetUnused(pfn);
   mmu_.tlb().Invalidate(mmu_.VpnOf(va));
-  unmap_count_.fetch_add(1, std::memory_order_relaxed);
+  ++unmap_count_;
   if (out_pfn != nullptr) {
     *out_pfn = pfn;
   }
@@ -153,7 +153,7 @@ bool TranslationSyscalls::ForceUnmap(Vpn vpn) {
     ramtab_.SetUnused(pfn);
   }
   mmu_.tlb().Invalidate(vpn);
-  unmap_count_.fetch_add(1, std::memory_order_relaxed);
+  ++unmap_count_;
   return true;
 }
 

@@ -9,7 +9,6 @@
 #ifndef SRC_KERNEL_SYSCALLS_H_
 #define SRC_KERNEL_SYSCALLS_H_
 
-#include <atomic>
 #include <cstdint>
 
 #include "src/base/expected.h"
@@ -88,8 +87,8 @@ class TranslationSyscalls {
   // Wires the ownership/race checker (audit builds). Null disables recording.
   void set_access_checker(DomainAccessChecker* checker) { access_checker_ = checker; }
 
-  uint64_t map_count() const { return map_count_.load(std::memory_order_relaxed); }
-  uint64_t unmap_count() const { return unmap_count_.load(std::memory_order_relaxed); }
+  uint64_t map_count() const { return map_count_; }
+  uint64_t unmap_count() const { return unmap_count_; }
 
  private:
   // Common validation: returns the PTE when the caller holds meta on the
@@ -114,9 +113,8 @@ class TranslationSyscalls {
   Mmu& mmu_;
   RamTab& ramtab_;
   DomainAccessChecker* access_checker_ = nullptr;
-  // Relaxed atomics: domain lanes map/unmap their own pages concurrently.
-  std::atomic<uint64_t> map_count_{0};
-  std::atomic<uint64_t> unmap_count_{0};
+  uint64_t map_count_ = 0;
+  uint64_t unmap_count_ = 0;
 };
 
 }  // namespace nemesis

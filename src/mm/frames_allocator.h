@@ -130,7 +130,7 @@ class FramesAllocator {
   // frames of its stack to be unused ("Application B replies that all is now
   // ready").
   // Designed domain-context upcall: the victim's MMEntry reports revocation
-  // completion from its own shard; the allocator applies it at the barrier.
+  // completion from its own shard.
   NEM_CROSSES_DOMAINS void RevocationComplete(DomainId domain);
 
   // Notifier invoked (synchronously) when an intrusive revocation starts;

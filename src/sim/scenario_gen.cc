@@ -71,11 +71,13 @@ std::string ScenarioSpec::ToScript() const {
 namespace {
 
 // "key=value" field extractors; return false on missing/malformed fields.
+// Every integer field of a script (times, ids, counts, pages, flags) is
+// non-negative, so a negative value is malformed too.
 bool Field(const std::string& line, const char* key, long long* out) {
   const std::string needle = std::string(key) + "=";
   const size_t pos = line.find(needle);
   if (pos == std::string::npos) return false;
-  return std::sscanf(line.c_str() + pos + needle.size(), "%lld", out) == 1;
+  return std::sscanf(line.c_str() + pos + needle.size(), "%lld", out) == 1 && *out >= 0;
 }
 
 bool FieldD(const std::string& line, const char* key, double* out) {
@@ -98,7 +100,7 @@ bool ScenarioSpec::FromScript(const std::string& text, ScenarioSpec* out) {
       if (!Field(line, "seed", &v)) return false;
       spec.seed = static_cast<uint64_t>(v);
     } else if (line.rfind("machine", 0) == 0) {
-      if (!Field(line, "frames", &v)) return false;
+      if (!Field(line, "frames", &v) || v == 0) return false;
       spec.frames = static_cast<uint64_t>(v);
     } else if (line.rfind("domain", 0) == 0) {
       ScenarioDomainSpec d;

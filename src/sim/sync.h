@@ -71,7 +71,7 @@ class Condition {
       auto w = waiter;
       Condition* cond = cv;
       // The timeout fires on the waiter's shard so the resumed code runs in
-      // its own lane, same as a notification would.
+      // its own shard, same as a notification would.
       waiter->timer_id = cv->sim_->CallAfterOn(waiter->st->shard, timeout, [cond, w] {
         // Timed out: drop from the wait list and resume un-notified.
         std::erase(cond->waiters_, w);

@@ -317,50 +317,23 @@ TEST(DomainAccess, NullCheckerSectionIsNoOp) {
 
 // --- Shard confinement (auditor rule 10) -----------------------------------
 
-// Scoped fake worker-lane: pretends the current thread is executing a
-// parallel segment on `shard`.
-class FakeLane : EffectSink {
+// Scoped shard tag: pretends an event on `shard` is executing, as the
+// simulator's event loop does around every callback.
+class ScopedShard {
  public:
-  explicit FakeLane(ShardId shard) {
-    ShardLane& lane = ShardLane::Current();
-    saved_ = lane;
-    lane.shard = shard;
-    lane.sink = this;
+  explicit ScopedShard(ShardId shard) : saved_(ShardLane::Current().shard) {
+    ShardLane::Current().shard = shard;
   }
-  ~FakeLane() { ShardLane::Current() = saved_; }
-
-  void Defer(std::function<void()> fn) override { fn(); }
+  ~ScopedShard() { ShardLane::Current().shard = saved_; }
 
  private:
-  ShardLane saved_;
+  ShardId saved_;
 };
-
-TEST(DomainAccess, WorkerLaneEnforcesOwnShardOnly) {
-  DomainAccessChecker checker;
-  checker.set_abort_on_violation(false);
-  FakeLane lane(2);
-  checker.Record(SharedStructure::kRamTab, 2);  // own shard: fine
-  checker.Record(SharedStructure::kRamTab, DomainAccessChecker::kSystem);
-  EXPECT_EQ(checker.violations(), 0u);
-  checker.Record(SharedStructure::kRamTab, 3);  // foreign domain on this lane
-  EXPECT_EQ(checker.violations(), 1u);
-}
-
-TEST(DomainAccess, WorkerLaneCrossDomainSectionIsLaneLocal) {
-  DomainAccessChecker checker;
-  checker.set_abort_on_violation(false);
-  FakeLane lane(2);
-  {
-    CrossDomainSection section(&checker);
-    checker.Record(SharedStructure::kRamTab, 3);  // sanctioned
-  }
-  EXPECT_EQ(checker.violations(), 0u);
-}
 
 TEST(DomainAccess, OwnedWriteByOwnerOrSystemIsClean) {
   DomainAccessChecker checker;
   {
-    FakeLane lane(2);
+    ScopedShard shard(2);
     checker.RecordOwnedWrite(SharedStructure::kFrameStack, 2);  // owner writes
   }
   checker.RecordOwnedWrite(SharedStructure::kFrameStack, 5);  // system shard writes
@@ -371,7 +344,7 @@ TEST(DomainAccess, OwnedWriteByOwnerOrSystemIsClean) {
 TEST(DomainAccess, OwnedWriteFromForeignShardIsLogged) {
   DomainAccessChecker checker;
   {
-    FakeLane lane(2);
+    ScopedShard shard(2);
     checker.RecordOwnedWrite(SharedStructure::kRamTab, 5);
   }
   const auto violations = checker.TakeOwnedWriteViolations();

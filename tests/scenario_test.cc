@@ -1,9 +1,8 @@
 // Adversarial scenario generator tests: seeded replay (audit-clean), script
-// round-trip, the shrinker against a hand-injected violation, determinism
-// serial vs parallel, and the app-level teardown-while-revocation-pending
-// race the generator is designed to flush out.
-#include <fstream>
-#include <sstream>
+// round-trip and malformed-script rejection, the shrinker against a
+// hand-injected violation, and the app-level teardown-while-revocation-pending
+// race the generator is designed to flush out. The byte-identity of the
+// replayed seeds' traces is checked by the golden digests (tools/golden.py).
 #include <string>
 
 #include <gtest/gtest.h>
@@ -12,31 +11,10 @@
 #include "src/core/system.h"
 #include "src/core/workloads.h"
 #include "src/sim/scenario_gen.h"
+#include "tests/scenario_fast_config.h"
 
 namespace nemesis {
 namespace {
-
-// Small-but-adversarial generator shape used by the replay tests: enough
-// domains and traffic to trigger revocations, small enough that 20 seeds run
-// in tier-1 time budgets.
-GeneratorConfig FastConfig() {
-  GeneratorConfig cfg;
-  cfg.min_frames = 24;
-  cfg.max_frames = 48;
-  cfg.min_domains = 2;
-  cfg.max_domains = 4;
-  cfg.max_events = 14;
-  cfg.horizon = Milliseconds(200);
-  cfg.max_burst_ops = 96;
-  return cfg;
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
 
 TEST(ScenarioGen, DeterministicForSeed) {
   const ScenarioSpec a = GenerateScenario(42, FastConfig());
@@ -77,6 +55,62 @@ TEST(ScenarioGen, FromScriptRejectsMalformedInput) {
   EXPECT_FALSE(ScenarioSpec::FromScript("burst t=1\n", &out));  // missing fields
 }
 
+// A valid one-domain script with one line swapped out; each rejection case
+// below breaks a single field of it. Such scripts must fail to parse: run,
+// a negative time trips the simulator's past-scheduling assert and zero
+// frames the domain-admission assert, aborting scenario_fuzz --script.
+std::string ScriptWith(const std::string& machine, const std::string& domain,
+                       const std::string& event) {
+  return "scenario seed=1\n" + machine + "\n" + domain + "\n" + event + "\n";
+}
+const char kMachine[] = "machine frames=16";
+const char kDomain[] = "domain id=1 g=2 x=2 nailed=0 pages=4 zipf=0.5000 at=0";
+const char kBurst[] = "burst t=5 dom=1 ops=3 write=0";
+
+TEST(ScenarioGen, FromScriptAcceptsTheValidBaseScript) {
+  ScenarioSpec out;
+  ASSERT_TRUE(ScenarioSpec::FromScript(ScriptWith(kMachine, kDomain, kBurst), &out));
+  EXPECT_EQ(out.frames, 16u);
+  EXPECT_EQ(out.events.size(), 1u);
+}
+
+TEST(ScenarioGen, FromScriptRejectsNegativeTimes) {
+  ScenarioSpec out;
+  EXPECT_FALSE(ScenarioSpec::FromScript(
+      ScriptWith(kMachine, kDomain, "burst t=-5 dom=1 ops=3 write=0"), &out));
+  EXPECT_FALSE(ScenarioSpec::FromScript(ScriptWith(kMachine, kDomain, "hang t=-1 dom=1"), &out));
+  EXPECT_FALSE(
+      ScenarioSpec::FromScript(ScriptWith(kMachine, kDomain, "shutdown t=-1 dom=1"), &out));
+  EXPECT_FALSE(ScenarioSpec::FromScript(ScriptWith(kMachine, kDomain, "corrupt t=-1"), &out));
+  EXPECT_FALSE(ScenarioSpec::FromScript(
+      ScriptWith(kMachine, "domain id=1 g=2 x=2 nailed=0 pages=4 zipf=0.5000 at=-3", kBurst),
+      &out));
+}
+
+TEST(ScenarioGen, FromScriptRejectsNegativeIdsCountsAndPages) {
+  ScenarioSpec out;
+  for (const char* domain : {"domain id=-1 g=2 x=2 nailed=0 pages=4 zipf=0.5000 at=0",
+                             "domain id=1 g=-2 x=2 nailed=0 pages=4 zipf=0.5000 at=0",
+                             "domain id=1 g=2 x=-2 nailed=0 pages=4 zipf=0.5000 at=0",
+                             "domain id=1 g=2 x=2 nailed=-1 pages=4 zipf=0.5000 at=0",
+                             "domain id=1 g=2 x=2 nailed=0 pages=-4 zipf=0.5000 at=0"}) {
+    EXPECT_FALSE(ScenarioSpec::FromScript(ScriptWith(kMachine, domain, kBurst), &out)) << domain;
+  }
+  for (const char* event : {"burst t=5 dom=-1 ops=3 write=0", "burst t=5 dom=1 ops=-3 write=0",
+                            "burst t=5 dom=1 ops=3 write=-1", "hang t=5 dom=-1"}) {
+    EXPECT_FALSE(ScenarioSpec::FromScript(ScriptWith(kMachine, kDomain, event), &out)) << event;
+  }
+  std::string negative_seed = ScriptWith(kMachine, kDomain, kBurst);
+  negative_seed.replace(0, negative_seed.find('\n'), "scenario seed=-1");
+  EXPECT_FALSE(ScenarioSpec::FromScript(negative_seed, &out));
+  EXPECT_FALSE(ScenarioSpec::FromScript(ScriptWith("machine frames=-16", kDomain, kBurst), &out));
+}
+
+TEST(ScenarioGen, FromScriptRejectsZeroFrames) {
+  ScenarioSpec out;
+  EXPECT_FALSE(ScenarioSpec::FromScript(ScriptWith("machine frames=0", kDomain, kBurst), &out));
+}
+
 TEST(ScenarioGen, ZipfSamplerSkewsTowardsLowRanks) {
   const ZipfSampler zipf(64, 1.0);
   EXPECT_EQ(zipf.Sample(0.0), 0u);
@@ -115,26 +149,6 @@ TEST(ScenarioReplay, SeedPoolExercisesRevocationPaths) {
   }
   EXPECT_GT(faults, 0u);
   EXPECT_GT(revocations, 0u);
-}
-
-TEST(ScenarioReplay, SerialAndParallelByteIdentical) {
-  for (uint64_t seed = 11; seed <= 15; ++seed) {
-    const ScenarioSpec spec = GenerateScenario(seed, FastConfig());
-    std::string csv[3];
-    const size_t executors[3] = {0, 1, 2};
-    for (int i = 0; i < 3; ++i) {
-      ScenarioOptions options;
-      options.parallel_sim = executors[i];
-      options.trace_path = ::testing::TempDir() + "scenario_" + std::to_string(seed) + "_" +
-                           std::to_string(executors[i]) + ".csv";
-      const ScenarioResult result = RunScenario(spec, options);
-      EXPECT_TRUE(result.ok) << "seed " << seed << ": " << result.failure;
-      csv[i] = ReadFile(options.trace_path);
-      EXPECT_FALSE(csv[i].empty()) << "seed " << seed;
-    }
-    EXPECT_EQ(csv[0], csv[1]) << "seed " << seed << ": serial vs parallel_sim=1 diverged";
-    EXPECT_EQ(csv[0], csv[2]) << "seed " << seed << ": serial vs parallel_sim=2 diverged";
-  }
 }
 
 // Shrinker acceptance: a hand-injected violation (corrupt guarantee

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repository lint for the Nemesis self-paging reproduction.
 
-Two textual rules that need no semantic analysis:
+Three textual rules that need no semantic analysis:
 
 1. Raw `new` / `delete` are confined to src/base/ (the small-buffer
    machinery). Everywhere else, allocation must go through std::make_unique
@@ -11,6 +11,11 @@ Two textual rules that need no semantic analysis:
 2. Include hygiene: project includes are quoted and rooted at src/ (no
    relative ".." paths), and every header carries an include guard derived
    from its path (SRC_FOO_BAR_H_).
+
+3. No threads: src/ neither includes <thread> nor names std::thread or
+   std::jthread. The simulator is one serial event loop and CI runs no
+   ThreadSanitizer job; code that starts a thread must bring that job back
+   in the same change.
 
 The former regex rules for RamTab mutation confinement, FrameStack
 membership confinement and ad-hoc uint64_t statistics members moved to
@@ -38,6 +43,9 @@ UNIQUE_PTR_ADOPTION = re.compile(r"(unique_ptr\s*<|make_unique|\.reset\s*\()")
 
 # Rule 2: include hygiene.
 QUOTED_INCLUDE = re.compile(r'#include\s+"([^"]+)"')
+
+# Rule 3: no threads.
+THREAD_USE = re.compile(r"#include\s*<thread>|\bstd::j?thread\b")
 
 
 def strip_comment(line):
@@ -74,6 +82,11 @@ def lint_file(path, errors):
             if ".." in inc or not inc.startswith("src/"):
                 errors.append(f"{rel}:{lineno}: quoted include \"{inc}\" must be "
                               "rooted at src/ (no relative paths)")
+
+        # --- Rule 3: no threads ---------------------------------------------
+        if THREAD_USE.search(code):
+            errors.append(f"{rel}:{lineno}: threads in src/ (the simulator is one serial "
+                          "event loop; a threaded path must bring back the TSan CI job)")
 
         if code.strip():
             prev_code = code

@@ -44,6 +44,8 @@ import sys
 import time
 from pathlib import Path
 
+import golden
+
 # Every binary the harness runs; built explicitly so a fresh Release tree
 # doesn't have to compile the whole test suite.
 BENCH_TARGETS = [
@@ -54,11 +56,11 @@ BENCH_TARGETS = [
     "bench_obs_overhead",
     "bench_obs_conformance",
     "bench_ablation_batching",
-    "bench_ablation_parallel",
     "bench_ablation_streampaging",
     "bench_ablation_pipeline",
     "bench_ablation_revocation",
     "bench_ablation_tenants",
+    "golden_scenarios",
 ]
 
 # NEMESIS_OBS=1 reruns that publish the per-domain QoS-crosstalk reports:
@@ -78,19 +80,6 @@ QOS_RUNS = [
     ("bench_ablation_revocation", "revocation_trace.csv",
      "revocation_metrics.json", "revocation_qos_report.txt",
      ["--require-attribution", "--require-conformance"]),
-]
-
-# Golden byte-compare (--capture-golden / --check-golden): the figure
-# benches' stdout and side-channel trace CSVs must be byte-identical run to
-# run — the static-analysis layer (tools/analyze.py, the NEM_* annotations)
-# is build-time-only and must never perturb simulated output. fig9 only
-# writes its span trace under NEMESIS_OBS=1, so it runs a second time with
-# the env var set just to produce the CSV; the stdout compare always uses
-# the plain run (the observed run appends "written to ..." lines).
-GOLDEN_RUNS = [
-    ("bench_fig7_paging_in", "fig7.stdout", ["fig7_usd_trace.csv"], False),
-    ("bench_fig8_paging_out", "fig8.stdout", ["fig8_usd_trace.csv"], False),
-    ("bench_fig9_fs_isolation", "fig9.stdout", ["fig9_trace.csv"], True),
 ]
 
 # (benchmark prefix, baseline template arg, optimized template arg)
@@ -181,11 +170,6 @@ def run_figure(build_dir, name):
     m = re.search(r"speedup: ([\d.]+)x", out)
     if m:
         fig["speedup"] = float(m.group(1))
-    m = re.search(r"speedup at (\d+) workers = ([\d.]+)x "
-                  r"\(host has (\d+) hardware threads\)", out)
-    if m:
-        fig[f"speedup_at_{m.group(1)}_workers"] = float(m.group(2))
-        fig["hardware_threads"] = int(m.group(3))
     return fig
 
 
@@ -258,49 +242,6 @@ def run_qos_reports(build_dir, source_dir):
     return reports
 
 
-def run_golden(build_dir, golden_dir, capture):
-    """Byte-compares (or captures) the figure benches' deterministic output.
-
-    Returns the number of mismatches; capture mode always returns 0.
-    """
-    golden_dir.mkdir(parents=True, exist_ok=True)
-    mismatches = 0
-
-    def compare(name, data):
-        nonlocal mismatches
-        path = golden_dir / name
-        if capture:
-            path.write_bytes(data)
-            print(f"  captured {path}")
-            return
-        if not path.exists():
-            print(f"  MISSING golden {path}")
-            mismatches += 1
-        elif path.read_bytes() != data:
-            print(f"  DIFF {name}: output is not byte-identical to {path}")
-            mismatches += 1
-        else:
-            print(f"  match {name}")
-
-    for bench, stdout_name, csvs, needs_obs in GOLDEN_RUNS:
-        binary = (build_dir / "bench" / bench).resolve()
-        if not binary.exists():
-            sys.exit(f"error: {binary} not found; build the bench targets first")
-        out = subprocess.run([str(binary)], check=True, capture_output=True,
-                             cwd=build_dir)
-        compare(stdout_name, out.stdout)
-        if needs_obs:
-            subprocess.run([str(binary)], check=True, capture_output=True,
-                           cwd=build_dir,
-                           env=dict(os.environ, NEMESIS_OBS="1"))
-        for csv in csvs:
-            side = build_dir / csv
-            if not side.exists():
-                sys.exit(f"error: {bench} did not write {side}")
-            compare(csv, side.read_bytes())
-    return mismatches
-
-
 def check_obs_gate(doc, prior, out_path):
     """Publication gate: the obs-disabled fig7 wall-clock must not regress
     more than 2% against the previously published number on the same host."""
@@ -334,25 +275,21 @@ def main():
     ap.add_argument("--no-obs-gate", action="store_true",
                     help="publish even if the obs-disabled fig7 wall-clock "
                          "regressed > 2%% vs the existing --out file")
-    ap.add_argument("--capture-golden", type=Path, metavar="DIR",
-                    help="record fig7/8/9 stdout and trace CSVs into DIR, "
-                         "then exit (no JSON published)")
-    ap.add_argument("--check-golden", type=Path, metavar="DIR",
-                    help="rerun fig7/8/9 and fail unless stdout and trace "
-                         "CSVs are byte-identical to DIR, then exit")
+    ap.add_argument("--check-golden", action="store_true",
+                    help="rerun fig7/8/9 and the golden scenario seeds and "
+                         "fail unless their output matches the committed "
+                         "digests (tools/golden.py), then exit")
     args = ap.parse_args()
 
     if not args.skip_build:
         ensure_release_build(args.source, args.build)
 
-    if args.capture_golden or args.check_golden:
-        capture = args.capture_golden is not None
-        golden_dir = args.capture_golden if capture else args.check_golden
-        bad = run_golden(args.build, golden_dir, capture)
+    if args.check_golden:
+        bad = golden.check(args.build)
         if bad:
-            sys.exit(f"error: {bad} golden mismatch(es) — simulated output "
-                     "moved; the analysis layer must be build-time-only")
-        print(f"golden {'capture' if capture else 'check'}: ok ({golden_dir})")
+            sys.exit(f"error: {bad} golden mismatch(es): simulated output "
+                     f"changed (see {golden.DIGEST_FILE})")
+        print("golden check: ok")
         return
     build_type = read_build_type(args.build)
     if build_type is None:
@@ -382,7 +319,6 @@ def main():
             "fig8_paging_out": run_figure(args.build, "bench_fig8_paging_out"),
             "fig9_fs_isolation": run_figure(args.build, "bench_fig9_fs_isolation"),
             "ablation_batching": run_figure(args.build, "bench_ablation_batching"),
-            "ablation_parallel": run_figure(args.build, "bench_ablation_parallel"),
             "ablation_streampaging": run_figure(args.build, "bench_ablation_streampaging"),
             "ablation_pipeline": run_figure(args.build, "bench_ablation_pipeline"),
             "ablation_revocation": run_figure(args.build, "bench_ablation_revocation"),
