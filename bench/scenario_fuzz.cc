@@ -1,6 +1,6 @@
 // Adversarial scenario fuzz driver (see DESIGN.md "Adversarial scenarios").
 //
-//   scenario_fuzz --seed N [--observe] [--print] [--linear]
+//   scenario_fuzz --seed N [--observe] [--print]
 //   scenario_fuzz --seeds N            # seeds 1..N, one after another
 //   scenario_fuzz --script FILE       # replay a saved event script
 //   scenario_fuzz --seed N --shrink   # reduce a failing seed to a minimal script
@@ -12,13 +12,16 @@
 // its event script are printed so CI logs alone are enough to reproduce. In
 // NEMESIS_AUDIT builds the per-batch auditor aborts the process at the first
 // violation — the driver prints the seed *before* running it for that reason.
+// Numbers must be whole decimal tokens in range (--seeds at least 1,
+// --tenants 1..INT_MAX); any other argument exits 2.
+#include <charconv>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "src/core/scenario_runner.h"
 #include "src/sim/scenario_gen.h"
@@ -26,6 +29,19 @@
 using namespace nemesis;
 
 namespace {
+
+// Parses `text` as a whole unsigned decimal token in [lo, hi]: no sign, no
+// whitespace, no trailing characters, no overflow.
+bool ParseNumber(std::string_view text, uint64_t lo, uint64_t hi, uint64_t* out) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
 
 int RunOne(const ScenarioSpec& spec, const ScenarioOptions& options, bool print_spec) {
   if (print_spec) {
@@ -54,7 +70,7 @@ int RunOne(const ScenarioSpec& spec, const ScenarioOptions& options, bool print_
 int main(int argc, char** argv) {
   uint64_t seed = 0;
   uint64_t seeds = 0;
-  int tenants = 0;
+  uint64_t tenants = 0;
   std::string script_path;
   bool shrink = false;
   bool print_spec = false;
@@ -62,23 +78,25 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
+    bool ok = true;
     if (arg == "--seed" && has_value) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      ok = ParseNumber(argv[++i], 0, UINT64_MAX, &seed);
     } else if (arg == "--seeds" && has_value) {
-      seeds = std::strtoull(argv[++i], nullptr, 10);
+      ok = ParseNumber(argv[++i], 1, UINT64_MAX, &seeds);
     } else if (arg == "--script" && has_value) {
       script_path = argv[++i];
     } else if (arg == "--tenants" && has_value) {
-      tenants = static_cast<int>(std::strtoull(argv[++i], nullptr, 10));
+      ok = ParseNumber(argv[++i], 1, INT_MAX, &tenants);
     } else if (arg == "--observe") {
       options.observe = true;
-    } else if (arg == "--linear") {
-      options.linear_structures = true;
     } else if (arg == "--shrink") {
       shrink = true;
     } else if (arg == "--print") {
       print_spec = true;
     } else {
+      ok = false;
+    }
+    if (!ok) {
       std::fprintf(stderr, "unknown or incomplete argument: %s\n", arg.c_str());
       return 2;
     }
@@ -102,10 +120,12 @@ int main(int argc, char** argv) {
 
   if (tenants > 0) {
     const uint64_t storm_seed = seed == 0 ? 1 : seed;
-    std::printf("running %d-tenant storm (seed %llu)...\n", tenants,
+    std::printf("running %llu-tenant storm (seed %llu)...\n",
+                static_cast<unsigned long long>(tenants),
                 static_cast<unsigned long long>(storm_seed));
     std::fflush(stdout);
-    return RunOne(GenerateTenantStorm(storm_seed, tenants), options, print_spec);
+    return RunOne(GenerateTenantStorm(storm_seed, static_cast<int>(tenants)), options,
+                  print_spec);
   }
 
   if (seeds > 0) {

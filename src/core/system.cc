@@ -37,10 +37,6 @@ System::System(SystemConfig config)
   auditor_.RegisterUsd(&usd_);
   auditor_.RegisterAccessChecker(&access_checker_);
   auditor_.RegisterScheduler(&usd_.scheduler());
-  // Indexed vs linear hot-path structures: selected before any client is
-  // admitted (both setters assert on that).
-  frames_allocator_.set_indexed(config_.indexed_structures);
-  usd_.scheduler().set_indexed(config_.indexed_structures);
   usd_.Start();
 
   // Observability: the hub is always wired (probes are null-checked and
@@ -105,9 +101,9 @@ System::System(SystemConfig config)
     }
     frames_allocator_.set_access_checker(&access_checker_);
     kernel_.syscalls().set_access_checker(&access_checker_);
-    // Each event callback is the unit that becomes an atomically-scheduled
-    // task under a threaded design: close the access window after every one,
-    // and audit the cross-layer state at batch (quiescent) boundaries.
+    // Each event callback is one domain's uninterrupted turn on the serial
+    // event loop: close the access window after every one, and audit the
+    // cross-layer state at batch (quiescent) boundaries.
     sim_.set_post_event_hook([this] { access_checker_.SyncPoint(); });
     sim_.set_post_batch_hook([this] {
       if (++audit_batches_ % config_.audit_stride == 0) {

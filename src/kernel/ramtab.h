@@ -92,8 +92,8 @@ class RamTab {
 
   // Nail-transition observer: fired whenever a frame enters or leaves
   // kNailed, with the owner at transition time. The frames allocator uses it
-  // to maintain per-client reclaimable-frame counters (O(1)
-  // HasReclaimableFrame) without putting the allocator on the map/unmap hot
+  // to maintain per-client reclaimable-frame counters (an O(1) "holds a
+  // reclaimable frame" test) without putting the allocator on the map/unmap hot
   // path: kUnused <-> kMapped transitions cost one predicted branch. Not a
   // mutation authority — the observer only mirrors state the RamTab already
   // committed.
@@ -111,9 +111,9 @@ class RamTab {
   }
 
  private:
-  // The frame-use table is shared by every domain's fault path under the
-  // threaded design: reads are sanctioned from any context (the paper's
-  // user-readable translation structures), so the vector itself carries no
+  // The frame-use table is shared by every domain's fault path: reads are
+  // sanctioned from any domain's events (the paper's user-readable
+  // translation structures), so the vector itself carries no
   // GUARDED_BY — mutation confinement is expressed on the Set* entry points
   // (NEM_REQUIRES(g_system_domain)) and enforced by tools/analyze.py's
   // authority-confinement rule plus the runtime DomainAccessChecker.

@@ -12,12 +12,12 @@
 //   cleaning dirty pages first) by a deadline T (default 100 ms); a victim
 //   that fails to comply is killed and all its frames reclaimed.
 //
-// Indexed mode (default) keeps the central decisions O(1)/O(log n) at fleet
-// density instead of rescanning every client and frame:
+// The central decisions stay O(1)/O(log n) at fleet density instead of
+// rescanning every client and frame:
 //
 // * per-client reclaimable (non-nailed) frame counters, maintained by the
 //   allocator's own grant/free/steal paths plus the RamTab's nail-transition
-//   observer, make HasReclaimableFrame a counter check;
+//   observer, answer "does this candidate hold a reclaimable frame";
 // * two victim heaps keyed (~surplus, admission index) — candidates with a
 //   reclaimable frame, and fully-nailed candidates (the kill-path fallback) —
 //   make PickVictim a top-of-heap read that skips the in-flight revocation
@@ -27,11 +27,9 @@
 // * the free list is a FreeFrameIndex (push-ordered list + segment tree +
 //   colour buckets), so the placement allocators stop scanning it.
 //
-// All picks are byte-identical to the linear versions: the linear victim scan
-// takes the first strictly-larger surplus over the admission-ordered client
-// vector, which is exactly the heaps' (~surplus, admission index) order.
-// set_indexed(false) retains the O(n)/O(n·f) scans as a selectable baseline
-// for the tenant-density ablation bench and the equivalence suite.
+// tests/reference_picks.h recomputes the victim and placement choices from
+// public state (ForEachClient, the RamTab, ForEachFreeFrame) with linear
+// scans; the equivalence suite checks every pick against it.
 #ifndef SRC_MM_FRAMES_ALLOCATOR_H_
 #define SRC_MM_FRAMES_ALLOCATOR_H_
 
@@ -83,12 +81,6 @@ class FramesAllocator {
   FramesAllocator(Simulator& sim, RamTab& ramtab, uint64_t total_frames,
                   TraceRecorder* trace = nullptr);
   ~FramesAllocator();
-
-  // Selects the indexed (default) or linear pick/scan implementations. Must
-  // be set before the first AdmitClient: the indexes are maintained from
-  // admission on.
-  void set_indexed(bool enabled);
-  bool indexed() const { return indexed_; }
 
   // --- Client management ---------------------------------------------------
 
@@ -182,12 +174,14 @@ class FramesAllocator {
   uint64_t domains_killed() const { return domains_killed_.value(); }
   uint64_t revocations_cancelled() const { return revocations_cancelled_.value(); }
   bool revocation_in_progress() const { return revocation_active_; }
+  // The victim of the in-flight intrusive revocation (kNoDomain when none).
+  DomainId revocation_victim() const { return revocation_victim_; }
   // Guaranteed requesters currently queued for a reserved frame (tests).
   size_t guaranteed_waiters() const { return guaranteed_waiters_.size(); }
 
   // The domain PickVictim would choose right now (kNoDomain when none).
-  // Read-only: the tenant-density bench and the equivalence suite use it to
-  // compare victim choices without running a revocation.
+  // Read-only: the equivalence suite checks it against the reference oracle
+  // without running a revocation.
   NEM_RUNS_ON(system) DomainId PeekVictim();
 
   // Observability hook; revoke-* spans (victim as client, aggressor in
@@ -229,8 +223,7 @@ class FramesAllocator {
   };
 
   // Victim-heap key: smallest-first order realising "largest optimistic
-  // surplus, ties to the earliest-admitted client" — the linear scan's
-  // first-strictly-larger-surplus rule over the append-only client vector.
+  // surplus, ties to the earliest-admitted client".
   using VictimKey = std::pair<uint64_t, uint64_t>;  // (~surplus, admission index)
 
   Client* Find(DomainId domain);
@@ -248,7 +241,6 @@ class FramesAllocator {
   // reclaimable (non-nailed) frame; a fully-nailed candidate is only returned
   // as a last resort (the kill path), never picked over a compliant victim.
   Client* PickVictim();
-  bool HasReclaimableFrame(const Client& c) const;
   // Recomputes the client's contribution to the outstanding-guarantee sum
   // and its victim-heap membership/keys. The single maintenance point: every
   // path that changes allocated/reclaimable/alive ends with a call.
@@ -286,14 +278,12 @@ class FramesAllocator {
   Obs* obs_ = nullptr;
   DomainAccessChecker* access_checker_ = nullptr;
   uint64_t total_frames_;
-  bool indexed_ = true;
   // Contract accounting and the frame stacks are the allocator's shared core:
-  // under the threaded design they are only written inside the system
-  // domain's serialized section (or its cross-domain revocation interface).
+  // only the system domain writes them, from its own events or through the
+  // cross-domain revocation interface (checked by the DomainAccessChecker).
   uint64_t guaranteed_total_ NEM_GUARDED_BY(g_system_domain) = 0;
-  // Sum of max(0, g - allocated) over live clients: the O(1) form of the
-  // optimistic-admission scan. Maintained in both modes (the audit
-  // cross-checks it); only the indexed CheckAllocation reads it.
+  // Sum of max(0, g - allocated) over live clients: what the optimistic
+  // admission check reads, in O(1). AuditIndexes cross-checks it.
   uint64_t guaranteed_outstanding_ NEM_GUARDED_BY(g_system_domain) = 0;
   FreeFrameIndex free_pool_ NEM_GUARDED_BY(g_system_domain);
   std::vector<std::unique_ptr<Client>> clients_ NEM_GUARDED_BY(g_system_domain);

@@ -17,8 +17,8 @@
 //    lazily when a caller's colour modulus changes — FirstWithColour is a
 //    bucket-front read, O(log frames) per mutation.
 //
-// The linear walks are kept as LinearFirst* so the tenant-density bench can
-// measure the ablation against the retained baseline.
+// tests/reference_picks.h recomputes both queries with a front-to-back walk
+// over ForEach, and the equivalence suite checks every placement against it.
 #ifndef SRC_MM_FREE_FRAME_INDEX_H_
 #define SRC_MM_FREE_FRAME_INDEX_H_
 
@@ -56,11 +56,6 @@ class FreeFrameIndex {
   // First frame in list order with pfn % num_colours == colour. Rebuilds the
   // residue buckets when `num_colours` differs from the last query's modulus.
   Pfn FirstWithColour(uint64_t colour, uint64_t num_colours);
-
-  // Retained linear baselines: the original O(free) scans, over the same
-  // storage, for the bench ablation and the equivalence suite.
-  Pfn LinearFirstInRegion(Pfn region_base, uint64_t region_len) const;
-  Pfn LinearFirstWithColour(uint64_t colour, uint64_t num_colours) const;
 
   // Visits every free frame front-to-back (push order) — the auditor's
   // replacement for iterating the old vector.

@@ -1,94 +1,32 @@
-// Linear-vs-indexed equivalence suite (DESIGN.md "Indexed scheduler and
-// allocator structures"): the EDF heap and the O(1) frame accounting must be
-// bit-identical to the linear scans they replace. Covered here:
-//   * generated scenarios, 20 seeds: identical trace CSVs and outcome
-//     counters under ScenarioOptions::linear_structures
-//   * a tenant-storm spec (the fleet-density preset) under the same flag
+// Reference-oracle equivalence suite (DESIGN.md "Indexed scheduler and
+// allocator structures"): the EDF heaps, the O(1) frame accounting and the
+// free-frame index must make exactly the picks the linear reference scans in
+// tests/reference_picks.h make. Each test drives one structure through an
+// operation script, asks the oracle before every real call, asserts the
+// same choice, and audits the indexes after it. Covered here:
 //   * EDF heap decrease/increase-key across Charge and periodic refresh,
-//     checked pick-by-pick against a linear twin
+//     plus the exhausted/idle transitions each pick applies
 //   * reclaimable counters and victim/colour/region choices across
-//     nail/unnail, steals, frees, and client teardown, against a linear twin
+//     nail/unnail, steals, frees, and client teardown
 //   * the auditor's indexed-structures rule trips on injected corruption
+// Scenario-level identity (whole traces of 20 generated seeds and a
+// 32-tenant storm) is pinned by the golden digests (tools/golden.py).
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <memory>
-#include <sstream>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "src/check/invariants.h"
-#include "src/core/scenario_runner.h"
 #include "src/core/system.h"
 #include "src/kernel/ramtab.h"
 #include "src/mm/frames_allocator.h"
 #include "src/sched/atropos.h"
-#include "src/sim/scenario_gen.h"
 #include "src/sim/simulator.h"
-#include "tests/scenario_fast_config.h"
+#include "tests/reference_picks.h"
 
 namespace nemesis {
 namespace {
-
-// --- Scenario-level equivalence ---------------------------------------------
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-// Counters in one comparable string (also the failure message on mismatch).
-std::string Fingerprint(const ScenarioResult& r) {
-  std::ostringstream out;
-  out << "ok=" << r.ok << " faults=" << r.faults << " transparent=" << r.revocations_transparent
-      << " intrusive=" << r.revocations_intrusive << " cancelled=" << r.revocations_cancelled
-      << " killed=" << r.domains_killed;
-  return out.str();
-}
-
-struct RunOutput {
-  ScenarioResult result;
-  std::string trace;
-};
-
-RunOutput RunVariant(const ScenarioSpec& spec, bool linear) {
-  static int run_counter = 0;
-  ScenarioOptions options;
-  options.linear_structures = linear;
-  options.trace_path = ::testing::TempDir() + "/equivalence_trace_" +
-                       std::to_string(run_counter++) + ".csv";
-  RunOutput out;
-  out.result = RunScenario(spec, options);
-  out.trace = ReadFile(options.trace_path);
-  EXPECT_FALSE(out.trace.empty());
-  return out;
-}
-
-// The trace is the full pick/fault/revocation record, so equality means
-// identical decision sequences in both variants.
-TEST(ScenarioEquivalence, TwentySeedsLinearAndIndexed) {
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
-    const ScenarioSpec spec = GenerateScenario(seed, FastConfig());
-    const RunOutput linear = RunVariant(spec, /*linear=*/true);
-    const RunOutput indexed = RunVariant(spec, /*linear=*/false);
-    EXPECT_TRUE(indexed.result.ok) << "seed " << seed << ": " << indexed.result.failure;
-    EXPECT_EQ(Fingerprint(linear.result), Fingerprint(indexed.result)) << "seed " << seed;
-    EXPECT_EQ(linear.trace, indexed.trace) << "seed " << seed;
-  }
-}
-
-TEST(ScenarioEquivalence, TenantStormMatches) {
-  // The fleet-density preset (>10 domains engages the scaled disk QoS and
-  // exact swap sizing), small enough for a unit-test budget.
-  const ScenarioSpec spec = GenerateTenantStorm(1, 32, Milliseconds(200));
-  const RunOutput linear = RunVariant(spec, /*linear=*/true);
-  const RunOutput indexed = RunVariant(spec, /*linear=*/false);
-  EXPECT_TRUE(indexed.result.ok) << indexed.result.failure;
-  EXPECT_EQ(Fingerprint(linear.result), Fingerprint(indexed.result));
-  EXPECT_EQ(linear.trace, indexed.trace);
-}
 
 // --- EDF heap unit tests ----------------------------------------------------
 
@@ -96,115 +34,113 @@ QosSpec Spec(int64_t period_ms, int64_t slice_ms, int64_t laxity_ms = 0, bool ex
   return QosSpec{Milliseconds(period_ms), Milliseconds(slice_ms), extra, Milliseconds(laxity_ms)};
 }
 
-// Twin schedulers (one linear, one indexed) fed identical operations. Every
-// Charge is a heap increase-key (deadline advances on refresh) and every
-// periodic reallocation a decrease-key relative to peers; the pick sequence
-// is the observable that proves the keys stayed right.
-struct SchedTwins {
-  Simulator sim_linear;
-  Simulator sim_indexed;
-  AtroposScheduler linear{sim_linear};
-  AtroposScheduler indexed{sim_indexed};
+// One scheduler driven by an operation script. Every Charge is a heap
+// increase-key (deadline advances on refresh) and every periodic
+// reallocation a decrease-key relative to peers; each pick is checked
+// against the reference oracle before it is taken, so a stale key shows as
+// the first diverging pick.
+struct CheckedSched {
+  Simulator sim;
+  AtroposScheduler sched{sim};
+  std::vector<SchedClientId> live;
+  std::map<SchedClientId, SimDuration> charged;  // what Step charged, per client
 
-  SchedTwins() {
-    linear.set_indexed(false);
-    // indexed mode is the default; assert rather than assume.
-    EXPECT_TRUE(indexed.indexed());
+  SchedClientId Admit(const std::string& name, QosSpec spec) {
+    auto id = sched.Admit(name, spec);
+    EXPECT_TRUE(id.has_value());
+    live.push_back(*id);
+    return *id;
   }
 
-  SchedClientId AdmitBoth(const std::string& name, QosSpec spec) {
-    auto a = linear.Admit(name, spec);
-    auto b = indexed.Admit(name, spec);
-    EXPECT_TRUE(a.has_value() && b.has_value());
-    EXPECT_EQ(*a, *b);
-    return *a;
+  void Remove(SchedClientId id) {
+    sched.Remove(id);
+    std::erase(live, id);
+    EXPECT_EQ(sched.AuditIndexes(), "");
   }
 
-  void RunUntilBoth(SimTime t) {
-    sim_linear.RunUntil(t);
-    sim_indexed.RunUntil(t);
+  void SetQueued(SchedClientId id, uint32_t queued) {
+    sched.SetQueued(id, queued);
+    EXPECT_EQ(sched.AuditIndexes(), "");
   }
 
-  // One pick+charge step on both; returns false when both were nullopt.
-  // Asserts the picks (and slack fallbacks) are identical.
+  // One pick+charge step; returns false when PickNext found nobody (after
+  // checking the slack fallback). Asserts the pick, the transitions it
+  // applied and the slack choice all match the oracle.
   bool Step() {
-    auto a = linear.PickNext();
-    auto b = indexed.PickNext();
-    EXPECT_EQ(a.has_value(), b.has_value());
-    if (a.has_value() && b.has_value()) {
-      EXPECT_EQ(a->client, b->client);
-      EXPECT_EQ(a->lax, b->lax);
-      EXPECT_EQ(a->deadline, b->deadline);
-      EXPECT_EQ(a->budget, b->budget);
-      linear.Charge(a->client, a->budget, a->lax);
-      indexed.Charge(b->client, b->budget, b->lax);
-      EXPECT_EQ(indexed.AuditIndexes(), "");
-      return true;
+    const auto want = reference::EdfPick(sched, live);
+    std::vector<SchedClientState> want_states;
+    for (const SchedClientId id : live) {
+      want_states.push_back(reference::StateAfterPick(sched, id));
     }
-    auto sa = linear.PickSlack();
-    auto sb = indexed.PickSlack();
-    EXPECT_EQ(sa.has_value(), sb.has_value());
-    if (sa.has_value() && sb.has_value()) {
-      EXPECT_EQ(*sa, *sb);
+    const auto got = sched.PickNext();
+    EXPECT_EQ(sched.AuditIndexes(), "");
+    for (size_t i = 0; i < live.size(); ++i) {
+      EXPECT_EQ(sched.state(live[i]), want_states[i]) << "client " << live[i];
     }
-    return false;
+    EXPECT_EQ(got.has_value(), want.has_value());
+    if (!got.has_value()) {
+      const auto want_slack = reference::SlackPick(sched, live);
+      EXPECT_EQ(sched.PickSlack(), want_slack);
+      return false;
+    }
+    if (want.has_value()) {
+      EXPECT_EQ(got->client, want->client);
+      EXPECT_EQ(got->lax, want->lax);
+      EXPECT_EQ(got->budget, want->budget);
+      EXPECT_EQ(got->slice_remaining, want->slice_remaining);
+      EXPECT_EQ(got->deadline, want->deadline);
+    }
+    sched.Charge(got->client, got->budget, got->lax);
+    charged[got->client] += got->budget;
+    EXPECT_EQ(sched.AuditIndexes(), "");
+    return true;
   }
 };
 
 TEST(EdfHeapEquivalence, ChargeAndRefreshKeepPicksIdentical) {
-  SchedTwins twins;
-  std::vector<SchedClientId> ids;
+  CheckedSched s;
   for (int i = 0; i < 6; ++i) {
-    ids.push_back(twins.AdmitBoth("c" + std::to_string(i),
-                                  Spec(20 + 5 * (i % 3), 2, /*laxity_ms=*/1, i % 2 == 0)));
+    s.Admit("c" + std::to_string(i), Spec(20 + 5 * (i % 3), 2, /*laxity_ms=*/1, i % 2 == 0));
   }
-  for (SchedClientId id : ids) {
-    twins.linear.SetQueued(id, 4);
-    twins.indexed.SetQueued(id, 4);
+  for (const SchedClientId id : s.live) {
+    s.SetQueued(id, 4);
   }
-  ASSERT_EQ(twins.indexed.AuditIndexes(), "");
   // Interleave picks with time: exhaustion parks clients (heap removal),
   // periodic refresh re-arms them (heap insert with a new key).
   SimTime t = 0;
   for (int round = 0; round < 200; ++round) {
-    while (twins.Step()) {
+    while (s.Step()) {
     }
     t += Microseconds(500);
-    twins.RunUntilBoth(t);
-    EXPECT_EQ(twins.indexed.AuditIndexes(), "") << "round " << round;
+    s.sim.RunUntil(t);
+    EXPECT_EQ(s.sched.AuditIndexes(), "") << "round " << round;
   }
-  for (SchedClientId id : ids) {
-    EXPECT_EQ(twins.linear.total_charged(id), twins.indexed.total_charged(id)) << "client " << id;
-    EXPECT_EQ(twins.linear.deadline(id), twins.indexed.deadline(id)) << "client " << id;
+  for (const SchedClientId id : s.live) {
+    EXPECT_EQ(s.sched.total_charged(id), s.charged[id]) << "client " << id;
   }
 }
 
 TEST(EdfHeapEquivalence, WorkArrivalAndRemovalKeepPicksIdentical) {
-  SchedTwins twins;
-  const SchedClientId a = twins.AdmitBoth("a", Spec(50, 5));
-  const SchedClientId b = twins.AdmitBoth("b", Spec(30, 3));
-  const SchedClientId c = twins.AdmitBoth("c", Spec(40, 4, /*laxity_ms=*/2, /*extra=*/true));
-  for (SchedClientId id : {a, b, c}) {
-    twins.linear.SetQueued(id, 2);
-    twins.indexed.SetQueued(id, 2);
+  CheckedSched s;
+  const SchedClientId a = s.Admit("a", Spec(50, 5));
+  const SchedClientId b = s.Admit("b", Spec(30, 3));
+  const SchedClientId c = s.Admit("c", Spec(40, 4, /*laxity_ms=*/2, /*extra=*/true));
+  for (const SchedClientId id : {a, b, c}) {
+    s.SetQueued(id, 2);
   }
-  while (twins.Step()) {
+  while (s.Step()) {
   }
   // Drain one client's queue, then remove another mid-stream.
-  twins.linear.SetQueued(a, 0);
-  twins.indexed.SetQueued(a, 0);
-  twins.RunUntilBoth(Milliseconds(60));
-  while (twins.Step()) {
+  s.SetQueued(a, 0);
+  s.sim.RunUntil(Milliseconds(60));
+  while (s.Step()) {
   }
-  twins.linear.Remove(b);
-  twins.indexed.Remove(b);
-  EXPECT_EQ(twins.indexed.AuditIndexes(), "");
-  twins.linear.SetQueued(a, 3);
-  twins.indexed.SetQueued(a, 3);
-  twins.RunUntilBoth(Milliseconds(120));
-  while (twins.Step()) {
+  s.Remove(b);
+  s.SetQueued(a, 3);
+  s.sim.RunUntil(Milliseconds(120));
+  while (s.Step()) {
   }
-  EXPECT_EQ(twins.indexed.AuditIndexes(), "");
+  EXPECT_EQ(s.sched.AuditIndexes(), "");
 }
 
 TEST(EdfHeapEquivalence, AuditIndexesDetectsCorruptKey) {
@@ -220,160 +156,179 @@ TEST(EdfHeapEquivalence, AuditIndexesDetectsCorruptKey) {
 
 // --- Frame accounting unit tests --------------------------------------------
 
-// Twin allocators (one linear, one indexed) fed identical operations; the
-// observables are victim choices, granted pfns, and the indexed self-audit.
+// One allocator driven by an operation script, checked against its
+// reference twin: before every real call the oracle names the victim or the
+// frame the call must choose; after it the indexes are audited.
 class FramesTwins : public ::testing::Test {
  protected:
   static constexpr uint64_t kTotal = 24;
-
-  FramesTwins()
-      : ramtab_linear_(kTotal),
-        ramtab_indexed_(kTotal),
-        linear_(sim_linear_, ramtab_linear_, kTotal),
-        indexed_(sim_indexed_, ramtab_indexed_, kTotal) {
-    linear_.set_indexed(false);
-    EXPECT_TRUE(indexed_.indexed());
-  }
-
-  void AdmitBoth(DomainId dom, FramesContract contract) {
-    ASSERT_TRUE(linear_.AdmitClient(dom, contract).ok());
-    ASSERT_TRUE(indexed_.AdmitClient(dom, contract).ok());
-  }
-
-  void RemoveBoth(DomainId dom) {
-    ASSERT_TRUE(linear_.RemoveClient(dom).ok());
-    ASSERT_TRUE(indexed_.RemoveClient(dom).ok());
-    EXPECT_EQ(indexed_.AuditIndexes(), "");
-  }
-
-  // Allocates on both twins, asserting the same pfn (or the same error).
-  Pfn AllocBoth(DomainId dom) {
-    auto a = linear_.AllocFrame(dom);
-    auto b = indexed_.AllocFrame(dom);
-    EXPECT_EQ(a.has_value(), b.has_value());
-    EXPECT_EQ(indexed_.AuditIndexes(), "");
-    if (!a.has_value() || !b.has_value()) return kNoPfn;
-    EXPECT_EQ(*a, *b);
-    return *a;
-  }
-
-  void ExpectSameVictim() { EXPECT_EQ(linear_.PeekVictim(), indexed_.PeekVictim()); }
-
   static constexpr Pfn kNoPfn = static_cast<Pfn>(-1);
 
-  Simulator sim_linear_;
-  Simulator sim_indexed_;
-  RamTab ramtab_linear_;
-  RamTab ramtab_indexed_;
-  FramesAllocator linear_;
-  FramesAllocator indexed_;
+  FramesTwins() : ramtab_(kTotal), alloc_(sim_, ramtab_, kTotal) {}
+
+  void Admit(DomainId dom, FramesContract contract) {
+    ASSERT_TRUE(alloc_.AdmitClient(dom, contract).ok());
+    EXPECT_EQ(alloc_.AuditIndexes(), "");
+  }
+
+  void Remove(DomainId dom) {
+    ASSERT_TRUE(alloc_.RemoveClient(dom).ok());
+    EXPECT_EQ(alloc_.AuditIndexes(), "");
+  }
+
+  void ExpectOracleVictim() {
+    EXPECT_EQ(alloc_.PeekVictim(), reference::VictimPick(alloc_, ramtab_));
+  }
+
+  // Allocates one frame; kNoPfn on error. With the pool empty the grant is
+  // a steal, which must take the top frame of the oracle's victim.
+  Pfn Alloc(DomainId dom) {
+    const DomainId victim = reference::VictimPick(alloc_, ramtab_);
+    EXPECT_EQ(alloc_.PeekVictim(), victim);
+    const bool steal = alloc_.free_frames() == 0 && victim != kNoDomain;
+    const Pfn victim_top = steal ? alloc_.StackOf(victim)->Top() : kNoPfn;
+    auto got = alloc_.AllocFrame(dom);
+    EXPECT_EQ(alloc_.AuditIndexes(), "");
+    if (!got.has_value()) return kNoPfn;
+    if (steal) {
+      EXPECT_EQ(*got, victim_top) << "steal did not take victim " << victim << "'s top frame";
+    }
+    return *got;
+  }
+
+  Simulator sim_;
+  RamTab ramtab_;
+  FramesAllocator alloc_;
 };
 
 TEST_F(FramesTwins, VictimChoiceMatchesAcrossStealsAndTeardown) {
-  AdmitBoth(1, {2, 10});
-  AdmitBoth(2, {2, 10});
+  Admit(1, {2, 10});
+  Admit(2, {2, 10});
   // Alternate optimistic fills so both hogs own interleaved pfns.
   for (int i = 0; i < 10; ++i) {
-    ASSERT_NE(AllocBoth(1 + (i % 2)), kNoPfn);
+    ASSERT_NE(Alloc(1 + (i % 2)), kNoPfn);
   }
-  ExpectSameVictim();
+  ExpectOracleVictim();
   // A guaranteed newcomer steals from the surplus-largest hog: every steal
   // changes both surplus keys, so victim order is re-derived each time.
-  AdmitBoth(3, {6, 0});
+  Admit(3, {6, 0});
   for (int i = 0; i < 6; ++i) {
-    ExpectSameVictim();
-    ASSERT_NE(AllocBoth(3), kNoPfn);
+    ASSERT_NE(Alloc(3), kNoPfn);
   }
-  ExpectSameVictim();
+  ExpectOracleVictim();
   // Teardown returns the newcomer's frames; the hogs re-absorb them.
-  RemoveBoth(3);
+  Remove(3);
   for (int i = 0; i < 6; ++i) {
-    ASSERT_NE(AllocBoth(1 + (i % 2)), kNoPfn);
+    ASSERT_NE(Alloc(1 + (i % 2)), kNoPfn);
   }
-  ExpectSameVictim();
-  RemoveBoth(1);
-  ExpectSameVictim();
-  RemoveBoth(2);
-  EXPECT_EQ(linear_.PeekVictim(), kNoDomain);
-  EXPECT_EQ(indexed_.PeekVictim(), kNoDomain);
+  ExpectOracleVictim();
+  Remove(1);
+  ExpectOracleVictim();
+  Remove(2);
+  EXPECT_EQ(alloc_.PeekVictim(), kNoDomain);
 }
 
 TEST_F(FramesTwins, ReclaimableCountersTrackNailTransitions) {
-  AdmitBoth(1, {2, 10});
+  Admit(1, {2, 10});
   std::vector<Pfn> owned;
   for (int i = 0; i < 8; ++i) {
-    owned.push_back(AllocBoth(1));
+    owned.push_back(Alloc(1));
     ASSERT_NE(owned.back(), kNoPfn);
   }
   // Nail half: each kNailed entry must decrement the reclaimable counter via
-  // the RamTab observer (the indexed self-audit recomputes ground truth).
+  // the RamTab observer (the self-audit recomputes ground truth).
   for (int i = 0; i < 4; ++i) {
-    ramtab_linear_.SetNailed(owned[i]);
-    ramtab_indexed_.SetNailed(owned[i]);
-    EXPECT_EQ(indexed_.AuditIndexes(), "") << "after nailing " << owned[i];
+    ramtab_.SetNailed(owned[i]);
+    EXPECT_EQ(alloc_.AuditIndexes(), "") << "after nailing " << owned[i];
   }
-  ExpectSameVictim();
+  ExpectOracleVictim();
   // A guaranteed newcomer can only steal the 4 unnailed frames (plus the 12
   // still-free ones). Exhaust free memory first so steals actually happen.
-  AdmitBoth(2, {2, 14});  // limit 16 == the frames still free at this point
-  while (linear_.free_frames() > 0) {
-    ASSERT_NE(AllocBoth(2), kNoPfn);
+  Admit(2, {2, 14});  // limit 16 == the frames still free at this point
+  while (alloc_.free_frames() > 0) {
+    ASSERT_NE(Alloc(2), kNoPfn);
   }
-  AdmitBoth(3, {4, 0});
+  Admit(3, {4, 0});
   for (int i = 0; i < 4; ++i) {
-    ExpectSameVictim();
-    ASSERT_NE(AllocBoth(3), kNoPfn);
+    ASSERT_NE(Alloc(3), kNoPfn);
   }
-  // Unnail: frames become reclaimable again on both sides.
+  // Unnail: the frames become reclaimable again.
   for (int i = 0; i < 4; ++i) {
-    ramtab_linear_.SetUnused(owned[i]);
-    ramtab_indexed_.SetUnused(owned[i]);
-    EXPECT_EQ(indexed_.AuditIndexes(), "") << "after unnailing " << owned[i];
+    ramtab_.SetUnused(owned[i]);
+    EXPECT_EQ(alloc_.AuditIndexes(), "") << "after unnailing " << owned[i];
   }
-  ExpectSameVictim();
-  RemoveBoth(3);
-  RemoveBoth(2);
-  RemoveBoth(1);
+  ExpectOracleVictim();
+  Remove(3);
+  Remove(2);
+  Remove(1);
 }
 
 TEST_F(FramesTwins, ColourAndRegionPlacementMatches) {
-  AdmitBoth(1, {0, 24});
+  Admit(1, {0, 24});
   // Colour allocations from a fresh pool, with interleaved frees so the
-  // colour buckets see both pops and pushes (lazy rebuild on the indexed
-  // side; linear twin scans the stack).
+  // colour buckets see both pops and pushes (and their lazy rebuild).
   std::vector<Pfn> got;
   for (int i = 0; i < 12; ++i) {
-    auto a = linear_.AllocFrameWithColour(1, i % 4, 4);
-    auto b = indexed_.AllocFrameWithColour(1, i % 4, 4);
-    ASSERT_EQ(a.has_value(), b.has_value()) << "i=" << i;
-    if (a.has_value()) {
-      EXPECT_EQ(*a, *b) << "i=" << i;
-      got.push_back(*a);
+    const Pfn want = reference::ColourPick(alloc_, i % 4, 4);
+    auto pfn = alloc_.AllocFrameWithColour(1, i % 4, 4);
+    ASSERT_EQ(pfn.has_value(), want != kNoFreePfn) << "i=" << i;
+    if (pfn.has_value()) {
+      EXPECT_EQ(*pfn, want) << "i=" << i;
+      got.push_back(*pfn);
     }
-    EXPECT_EQ(indexed_.AuditIndexes(), "");
+    EXPECT_EQ(alloc_.AuditIndexes(), "");
   }
   for (size_t i = 0; i < got.size(); i += 2) {
-    ASSERT_TRUE(linear_.FreeFrame(1, got[i]).ok());
-    ASSERT_TRUE(indexed_.FreeFrame(1, got[i]).ok());
-    EXPECT_EQ(indexed_.AuditIndexes(), "");
+    ASSERT_TRUE(alloc_.FreeFrame(1, got[i]).ok());
+    EXPECT_EQ(alloc_.AuditIndexes(), "");
   }
   for (int i = 0; i < 6; ++i) {
-    auto a = linear_.AllocFrameInRegion(1, 4, 16);
-    auto b = indexed_.AllocFrameInRegion(1, 4, 16);
-    ASSERT_EQ(a.has_value(), b.has_value()) << "i=" << i;
-    if (a.has_value()) {
-      EXPECT_EQ(*a, *b) << "i=" << i;
+    const Pfn want = reference::RegionPick(alloc_, 4, 16);
+    auto pfn = alloc_.AllocFrameInRegion(1, 4, 16);
+    ASSERT_EQ(pfn.has_value(), want != kNoFreePfn) << "i=" << i;
+    if (pfn.has_value()) {
+      EXPECT_EQ(*pfn, want) << "i=" << i;
     }
-    EXPECT_EQ(indexed_.AuditIndexes(), "");
+    EXPECT_EQ(alloc_.AuditIndexes(), "");
   }
 }
 
+TEST_F(FramesTwins, VictimChoiceSkipsTheInFlightRevocationVictim) {
+  // Mapped frames cannot be reclaimed transparently, so a guaranteed request
+  // against a full machine starts an intrusive revocation. While it is in
+  // flight its victim must not be picked again.
+  Admit(1, {2, 12});
+  Admit(2, {2, 8});
+  for (int i = 0; i < 14; ++i) {
+    const Pfn pfn = Alloc(1);
+    ASSERT_NE(pfn, kNoPfn);
+    ramtab_.SetMapped(pfn, 100 + i);
+  }
+  for (int i = 0; i < 10; ++i) {
+    const Pfn pfn = Alloc(2);
+    ASSERT_NE(pfn, kNoPfn);
+    ramtab_.SetMapped(pfn, 200 + i);
+  }
+  Admit(3, {4, 0});
+  EXPECT_EQ(Alloc(3), kNoPfn);  // waits on the revocation of domain 1
+  ASSERT_TRUE(alloc_.revocation_in_progress());
+  ASSERT_EQ(alloc_.revocation_victim(), 1u);
+  ExpectOracleVictim();
+  EXPECT_EQ(alloc_.PeekVictim(), 2u);
+  // Domain 1 complies: its top frame is unmapped and reclaimed.
+  ramtab_.SetUnused(alloc_.StackOf(1)->Top());
+  alloc_.RevocationComplete(1);
+  EXPECT_FALSE(alloc_.revocation_in_progress());
+  ExpectOracleVictim();
+  EXPECT_NE(Alloc(3), kNoPfn);
+}
+
 TEST_F(FramesTwins, AuditIndexesDetectsCorruptCounter) {
-  AdmitBoth(1, {2, 2});
-  ASSERT_NE(AllocBoth(1), kNoPfn);
-  ASSERT_EQ(indexed_.AuditIndexes(), "");
-  indexed_.TestOnlyCorruptReclaimable(1, +1);
-  EXPECT_NE(indexed_.AuditIndexes(), "");
+  Admit(1, {2, 2});
+  ASSERT_NE(Alloc(1), kNoPfn);
+  ASSERT_EQ(alloc_.AuditIndexes(), "");
+  alloc_.TestOnlyCorruptReclaimable(1, +1);
+  EXPECT_NE(alloc_.AuditIndexes(), "");
 }
 
 // --- System-level auditor rule ----------------------------------------------

@@ -1,7 +1,11 @@
-// Writes the full trace CSV of each golden scenario seed (FastConfig seeds
-// 11-15) into OUT_DIR as scenario_seed<N>.csv, for tools/golden.py:
+// Writes the full trace CSV of each golden scenario into OUT_DIR, for
+// tools/golden.py:
 //
 //   golden_scenarios OUT_DIR
+//
+//   scenario_seed<N>.csv   FastConfig seeds 1-20
+//   tenant_storm32.csv     GenerateTenantStorm(1, 32, 200 ms), the
+//                          fleet-density preset at unit-test size
 //
 // Exit 0 when every run is audit-clean and wrote its trace.
 #include <cstdint>
@@ -20,15 +24,18 @@ int main(int argc, char** argv) {
   }
   const std::string dir = argv[1];
   int rc = 0;
-  for (uint64_t seed = 11; seed <= 15; ++seed) {
+  const auto run = [&dir, &rc](const ScenarioSpec& spec, const std::string& name) {
     ScenarioOptions options;
-    options.trace_path = dir + "/scenario_seed" + std::to_string(seed) + ".csv";
-    const ScenarioResult result = RunScenario(GenerateScenario(seed, FastConfig()), options);
+    options.trace_path = dir + "/" + name;
+    const ScenarioResult result = RunScenario(spec, options);
     if (!result.ok) {
-      std::fprintf(stderr, "seed %llu: %s\n", static_cast<unsigned long long>(seed),
-                   result.failure.c_str());
+      std::fprintf(stderr, "%s: %s\n", name.c_str(), result.failure.c_str());
       rc = 1;
     }
+  };
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    run(GenerateScenario(seed, FastConfig()), "scenario_seed" + std::to_string(seed) + ".csv");
   }
+  run(GenerateTenantStorm(1, 32, Milliseconds(200)), "tenant_storm32.csv");
   return rc;
 }

@@ -1,7 +1,7 @@
 // The small-but-adversarial scenario generator shape shared by the scenario
-// replay tests, the linear-vs-indexed equivalence suite and the golden
-// scenario traces: enough domains and traffic to trigger revocations and
-// kills, small enough that 20 seeds run in tier-1 time budgets.
+// replay tests and the golden scenario traces: enough domains and traffic to
+// trigger revocations and kills, small enough that 20 seeds run in tier-1
+// time budgets.
 #ifndef TESTS_SCENARIO_FAST_CONFIG_H_
 #define TESTS_SCENARIO_FAST_CONFIG_H_
 

@@ -17,8 +17,10 @@ are:
     a second time with the variable set just to produce it (its stdout is
     taken from the plain run, because the observed run appends "written to"
     lines);
-  * scenario_seed11.csv .. scenario_seed15.csv, the full traces of the fixed
-    scenario seeds that scenario_test replays.
+  * scenario_seed1.csv .. scenario_seed20.csv, the full traces of the
+    FastConfig scenario seeds (scenario_test replays 11-15);
+  * tenant_storm32.csv, the full trace of GenerateTenantStorm(1, 32, 200 ms),
+    the fleet-density preset at unit-test size.
 
 Simulated output is a pure function of the source, so every build type
 (Release, RelWithDebInfo, Debug with sanitizers) must match the same
@@ -44,7 +46,8 @@ FIGURE_RUNS = [
     ("bench_fig8_paging_out", "fig8.stdout", ["fig8_usd_trace.csv"], False),
     ("bench_fig9_fs_isolation", "fig9.stdout", ["fig9_trace.csv"], True),
 ]
-SCENARIO_SEEDS = range(11, 16)
+SCENARIO_TRACES = ([f"scenario_seed{seed}.csv" for seed in range(1, 21)]
+                   + ["tenant_storm32.csv"])
 
 
 def sha256(data):
@@ -83,8 +86,7 @@ def collect(build_dir, work_dir):
     exe = binary(build_dir, "tests", "golden_scenarios")
     subprocess.run([exe, str(work_dir)], check=True, cwd=work_dir,
                    env=clean_env())
-    for seed in SCENARIO_SEEDS:
-        name = f"scenario_seed{seed}.csv"
+    for name in SCENARIO_TRACES:
         digests[name] = sha256((work_dir / name).read_bytes())
     return digests
 
